@@ -23,8 +23,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		cycles     = fs.Int("cycles", 1, "metric-adaptation cycles (metric rebuilt each cycle)")
 		sweeps     = fs.Int("sweeps", 0, "operator sweeps per cycle (0 = default cap)")
 		band       = fs.Float64("band", 0, "edge-length acceptance band upper bound (0 = sqrt 2)")
-		workers    = fs.Int("workers", 1, "evaluation/commit goroutines (0 = NumCPU via pool default)")
-		ranks      = fs.Int("ranks", 1, "distribute plan evaluation over this many in-process ranks")
+		workers    = fs.Int("workers", 1, "evaluation/commit goroutines (the output is identical for every count)")
 		format     = fs.String("format", "ascii", "output format: ascii | binary | vtk")
 		out        = fs.String("o", "", "output file (default stdout)")
 		quiet      = fs.Bool("q", false, "suppress per-cycle reports")
@@ -52,9 +51,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	var tracer *trace.Tracer
 	if *traceOut != "" || *metricsOut != "" {
-		tracer = trace.New(max(*ranks, 1))
+		tracer = trace.New(1)
 	}
-	opt := adapt.Options{Workers: *workers, Ranks: *ranks, Tracer: tracer, Resample: resample}
+	opt := adapt.Options{Workers: *workers, Tracer: tracer, Resample: resample}
 
 	adapted, reps, aerr := adapt.Cycles(m, p, opt, build)
 	if !*quiet {

@@ -80,7 +80,6 @@ func run(args []string) error {
 	var (
 		listen      = fs.String("listen", "127.0.0.1:8080", "HTTP listen address")
 		ranks       = fs.Int("ranks", 4, "engine rank count (in-process goroutine ranks)")
-		kernelW     = fs.Int("kernel-workers", 1, "default Delaunay insertion goroutines per task (1 = sequential, 0 = NumCPU)")
 		concurrency = fs.Int("concurrency", 4, "maximum runs executing at once (0 = unlimited)")
 		queue       = fs.Int("queue", 8, "runs allowed to wait when saturated before 503 (-1 = none, 0 = unbounded)")
 		cacheSize   = fs.Int("cache", 64, "result-cache capacity in rendered meshes (-1 disables)")
@@ -109,11 +108,10 @@ func run(args []string) error {
 	defer eng.Close()
 
 	srv := newServer(eng, serverOptions{
-		MaxTimeout:    *maxTimeout,
-		CacheSize:     *cacheSize,
-		KernelWorkers: *kernelW,
-		Logger:        logger,
-		EnablePprof:   *enablePprof,
+		MaxTimeout:  *maxTimeout,
+		CacheSize:   *cacheSize,
+		Logger:      logger,
+		EnablePprof: *enablePprof,
 	})
 	hs := &http.Server{Addr: *listen, Handler: srv}
 

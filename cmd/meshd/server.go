@@ -42,19 +42,17 @@ import (
 // same defaults the meshgen CLI uses, so an empty params object and a
 // bare `meshgen` invocation describe the identical run.
 type meshParams struct {
-	BLH0          float64 `json:"bl_h0,omitempty"`
-	BLRatio       float64 `json:"bl_ratio,omitempty"`
-	BLLayers      int     `json:"bl_layers,omitempty"`
-	SurfaceH0     float64 `json:"h0,omitempty"`
-	Gradation     float64 `json:"gradation,omitempty"`
-	HMax          float64 `json:"hmax,omitempty"`
-	Kernel        string  `json:"kernel,omitempty"`         // ruppert | front
-	KernelWorkers int     `json:"kernel_workers,omitempty"` // 0 = server default
-	KernelShuffle bool    `json:"kernel_shuffle,omitempty"`
-	Audit         bool    `json:"audit,omitempty"`
-	Format        string  `json:"format,omitempty"`     // ascii | binary | vtk
-	TimeoutMS     int     `json:"timeout_ms,omitempty"` // capped by the server limit
-	Trace         bool    `json:"trace,omitempty"`      // keep a trace export for GET /trace/{id}
+	BLH0      float64 `json:"bl_h0,omitempty"`
+	BLRatio   float64 `json:"bl_ratio,omitempty"`
+	BLLayers  int     `json:"bl_layers,omitempty"`
+	SurfaceH0 float64 `json:"h0,omitempty"`
+	Gradation float64 `json:"gradation,omitempty"`
+	HMax      float64 `json:"hmax,omitempty"`
+	Kernel    string  `json:"kernel,omitempty"` // ruppert | front
+	Audit     bool    `json:"audit,omitempty"`
+	Format    string  `json:"format,omitempty"`     // ascii | binary | vtk
+	TimeoutMS int     `json:"timeout_ms,omitempty"` // capped by the server limit
+	Trace     bool    `json:"trace,omitempty"`      // keep a trace export for GET /trace/{id}
 }
 
 // meshRequest is the POST /mesh body: one geometry (named airfoil or
@@ -170,10 +168,6 @@ type serverOptions struct {
 	// CacheSize is the LRU capacity in rendered meshes; 0 means 64,
 	// negative disables caching.
 	CacheSize int
-	// KernelWorkers is the per-run default when a request leaves
-	// kernel_workers at 0; the server's engine sizes its shared pool
-	// independently.
-	KernelWorkers int
 	// Logger, when non-nil, receives a structured record per handler
 	// panic (request ID, path, stack). Request lifecycle records come
 	// from the engine's own logger; nil disables server-side logging.
@@ -293,9 +287,6 @@ func (s *server) buildConfig(req *meshRequest) (core.Config, string, error) {
 	if p.Format == "" {
 		p.Format = "ascii"
 	}
-	if p.KernelWorkers == 0 {
-		p.KernelWorkers = s.opts.KernelWorkers
-	}
 
 	var g *pslg.Graph
 	var err error
@@ -335,8 +326,6 @@ func (s *server) buildConfig(req *meshRequest) (core.Config, string, error) {
 	cfg.Gradation = p.Gradation
 	cfg.HMax = p.HMax
 	cfg.Ranks = 0 // adopt the engine's
-	cfg.KernelWorkers = p.KernelWorkers
-	cfg.KernelShuffle = p.KernelShuffle
 	cfg.Audit = p.Audit
 	switch p.Kernel {
 	case "ruppert":

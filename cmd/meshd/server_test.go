@@ -75,7 +75,7 @@ func postMesh(t *testing.T, url string, body string) (*http.Response, []byte) {
 func TestServeConcurrentAuditedCached(t *testing.T) {
 	ts, _ := newTestServer(t,
 		core.EngineConfig{Ranks: 2, MaxConcurrent: 4},
-		serverOptions{KernelWorkers: 1})
+		serverOptions{})
 
 	ns := []int{20, 24}
 	want := make(map[int][]byte)

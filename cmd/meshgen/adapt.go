@@ -43,9 +43,10 @@ func runAdapt(cfg core.Config, m *mesh.Mesh, iso bool, tracer *trace.Tracer, std
 	if err != nil {
 		return nil, err
 	}
+	// Adaptation runs in this process; its goroutines take the run's
+	// rank budget. The output is identical for every worker count.
 	opt := adapt.Options{
-		Workers:  cfg.KernelWorkers,
-		Ranks:    cfg.Ranks,
+		Workers:  cfg.Ranks,
 		Tracer:   tracer,
 		Resample: resample,
 	}

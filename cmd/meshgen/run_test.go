@@ -254,6 +254,47 @@ func TestRunAdaptCycles(t *testing.T) {
 	}
 }
 
+// TestRunAdaptWorkersFollowRanks: meshgen's adaptation step takes the
+// run's rank count as its worker count, and the worker count must never
+// change the result. Generation itself differs per rank count, so each
+// rank count's -adapt-cycles output is compared against a one-worker
+// adaptation of that rank count's own generated mesh.
+func TestRunAdaptWorkersFollowRanks(t *testing.T) {
+	const spec = "bl:x0=0,y0=0,x1=1,y1=0,hn=0.02,ht=0.3,grow=0.6"
+	for _, ranks := range []string{"1", "4"} {
+		var base, adapted, errb bytes.Buffer
+		if err := run(context.Background(), fastArgs("-q", "-ranks", ranks), &base, &errb); err != nil {
+			t.Fatalf("ranks %s: generate: %v", ranks, err)
+		}
+		if err := run(context.Background(),
+			fastArgs("-q", "-ranks", ranks, "-adapt-cycles", "1", "-adapt-metric", spec),
+			&adapted, &errb); err != nil {
+			t.Fatalf("ranks %s: generate and adapt: %v\n%s", ranks, err, errb.String())
+		}
+		if bytes.Equal(adapted.Bytes(), base.Bytes()) {
+			t.Fatalf("ranks %s: adaptation left the mesh unchanged", ranks)
+		}
+		m, err := mesh.ReadASCII(&base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := core.DefaultConfig()
+		cfg.Ranks = 1
+		cfg.Adapt = core.AdaptParams{Cycles: 1, Metric: spec}
+		seq, err := runAdapt(cfg, m, false, nil, &errb, true)
+		if err != nil {
+			t.Fatalf("ranks %s: one-worker adaptation: %v", ranks, err)
+		}
+		var want bytes.Buffer
+		if err := seq.WriteASCII(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(adapted.Bytes(), want.Bytes()) {
+			t.Errorf("ranks %s: -adapt-cycles mesh differs from the one-worker adaptation", ranks)
+		}
+	}
+}
+
 func TestRunAdaptIso(t *testing.T) {
 	var stdout, errb bytes.Buffer
 	err := run(context.Background(),

@@ -6,7 +6,7 @@ package main
 // just before the finalize barrier; FIFO frame delivery guarantees the
 // launcher holds every survivor's summary once the barrier releases. The
 // launcher merges them with its own rank-0 summary into the final report,
-// so the per-rank tasks/wire/steal/kernel numbers cover the whole process
+// so the per-rank tasks/wire/steal numbers cover the whole process
 // tree instead of just rank 0.
 
 import (
@@ -20,7 +20,7 @@ import (
 
 // statsWireVersion stamps the summary vector so a launcher never
 // misparses a foreign []float64 telemetry payload (or a future layout).
-const statsWireVersion = 1
+const statsWireVersion = 2
 
 // rankSummary is one process's run summary, as shipped on the wire.
 type rankSummary struct {
@@ -33,9 +33,6 @@ type rankSummary struct {
 	stealGranted int
 	stealGotten  int
 	idleSeconds  float64
-	kernInserted int
-	kernRounds   int
-	kernConflict int
 }
 
 // summarizeRankStats reduces one process's Stats to its local summary.
@@ -50,9 +47,6 @@ func summarizeRankStats(rank int, st *core.Stats) rankSummary {
 		stealGranted: st.Steals.Granted,
 		stealGotten:  st.Steals.Gotten,
 		idleSeconds:  st.Steals.Idle.Seconds(),
-		kernInserted: st.Kernel.Inserted,
-		kernRounds:   st.Kernel.Rounds,
-		kernConflict: st.Kernel.Conflicts,
 	}
 	for _, m := range st.Tasks {
 		if m.Seconds > 0 || m.Triangles > 0 {
@@ -77,16 +71,13 @@ func encodeRankStats(rank int, st *core.Stats) []float64 {
 		float64(rs.stealGranted),
 		float64(rs.stealGotten),
 		rs.idleSeconds,
-		float64(rs.kernInserted),
-		float64(rs.kernRounds),
-		float64(rs.kernConflict),
 	}
 }
 
 // decodeRankStats parses a telemetry vector back into a summary; ok is
-// false for payloads that are not a version-1 summary.
+// false for payloads that are not a current-version summary.
 func decodeRankStats(v []float64) (rankSummary, bool) {
-	if len(v) != 13 || v[0] != statsWireVersion {
+	if len(v) != 10 || v[0] != statsWireVersion {
 		return rankSummary{}, false
 	}
 	return rankSummary{
@@ -99,9 +90,6 @@ func decodeRankStats(v []float64) (rankSummary, bool) {
 		stealGranted: int(v[7]),
 		stealGotten:  int(v[8]),
 		idleSeconds:  v[9],
-		kernInserted: int(v[10]),
-		kernRounds:   int(v[11]),
-		kernConflict: int(v[12]),
 	}, true
 }
 
@@ -113,12 +101,8 @@ func printRankStats(w io.Writer, own rankSummary, workers []rankSummary) {
 	all := append([]rankSummary{own}, workers...)
 	sort.Slice(all, func(i, j int) bool { return all[i].rank < all[j].rank })
 	for _, rs := range all {
-		line := fmt.Sprintf("rank %-2d              %d tasks, %.2fs busy, %d msgs, %d B wire, steals %d got / %d granted",
+		fmt.Fprintf(w, "rank %-2d              %d tasks, %.2fs busy, %d msgs, %d B wire, steals %d got / %d granted\n",
 			rs.rank, rs.tasks, rs.busySeconds, rs.msgs, rs.bytes, rs.stealGotten, rs.stealGranted)
-		if rs.kernRounds > 0 {
-			line += fmt.Sprintf(", kernel %d inserted", rs.kernInserted)
-		}
-		fmt.Fprintln(w, line)
 	}
 }
 

@@ -3,14 +3,12 @@ package adapt
 // Metric-driven cavity-operator adaptation. Each pass evaluates one
 // operator kind (split, collapse, swap, smooth) over the whole mesh
 // against a frozen topology, selects a conflict-free subset sequentially,
-// and commits the selected operations from multiple workers — the same
-// evaluate/select/commit discipline as delaunay.BuildParallel, with one
-// difference in the conflict currency: adaptation operators move and
-// delete vertices, so selection claims cavity *vertices* rather than
-// triangles. Vertex-disjoint cavities read and write disjoint
-// coordinates, create distinct edges (every edge an operation creates
-// joins two of its cavity vertices), and rewrite disjoint
-// neighbor-pointer words: a pointer word outside a cavity that a commit
+// and commits the selected operations from multiple workers. Adaptation
+// operators move and delete vertices, so selection claims cavity
+// *vertices* rather than triangles. Vertex-disjoint cavities read and
+// write disjoint coordinates, create distinct edges (every edge an
+// operation creates joins two of its cavity vertices), and rewrite
+// disjoint neighbor-pointer words: a pointer word outside a cavity that a commit
 // must patch holds the index of one of the commit's own cavity
 // triangles, and a triangle belongs to at most one selected cavity, so
 // two commits can never race on the same word. Those outside words are
@@ -31,7 +29,6 @@ import (
 	"sort"
 	"sync"
 
-	"pamg2d/internal/delaunay"
 	"pamg2d/internal/geom"
 	"pamg2d/internal/mesh"
 	"pamg2d/internal/metric"
@@ -52,16 +49,8 @@ type Options struct {
 	// MaxSweeps caps the operator sweeps; 0 resolves to 20.
 	MaxSweeps int
 	// Workers is the number of evaluation/commit goroutines; 0 resolves
-	// to the pool size (or 1 without a pool). The result is identical
-	// for every worker count.
+	// to 1. The result is identical for every worker count.
 	Workers int
-	// Pool, when non-nil, runs phase jobs on a shared persistent worker
-	// team instead of spawning goroutines per pass.
-	Pool *delaunay.WorkerPool
-	// Ranks > 1 distributes plan evaluation over an in-process MPI world
-	// via the loadbal work-stealing scheduler; selection and commit stay
-	// on the root. 0 and 1 evaluate locally.
-	Ranks int
 	// Tracer, when non-nil, records one CatKernel span per pass and
 	// adapt.* metrics; Rank is the track spans land on.
 	Tracer *trace.Tracer
@@ -124,11 +113,7 @@ func Adapt(m *mesh.Mesh, f metric.Field, opt Options) (*mesh.Mesh, *Result, erro
 		opt.MaxSweeps = 20
 	}
 	if opt.Workers <= 0 {
-		if opt.Pool != nil {
-			opt.Workers = opt.Pool.Size()
-		} else {
-			opt.Workers = 1
-		}
+		opt.Workers = 1
 	}
 	for i, t := range f {
 		if !t.SPD() {
@@ -155,11 +140,7 @@ func (e *engine) run() error {
 			if (k == opSwap && e.opt.NoSwap) || (k == opSmooth && e.opt.NoSmooth) {
 				continue
 			}
-			n, err := e.pass(k)
-			if err != nil {
-				return err
-			}
-			changed += n
+			changed += e.pass(k)
 		}
 		e.res.Sweeps = s + 1
 		edges, in := e.edgeBand()
@@ -185,24 +166,12 @@ func (e *engine) run() error {
 
 // pass runs one evaluate/select/commit round of a single operator kind
 // and returns the number of committed operations.
-func (e *engine) pass(kind opKind) (int, error) {
+func (e *engine) pass(kind opKind) int {
 	var span trace.Span
 	if e.opt.Tracer != nil {
 		span = e.opt.Tracer.Begin(e.opt.Rank, trace.CatKernel, "adapt."+kind.String())
 	}
-	var plans []*opPlan
-	if e.opt.Ranks > 1 {
-		var err error
-		plans, err = e.evaluateDist(kind)
-		if err != nil {
-			if e.opt.Tracer != nil {
-				span.End()
-			}
-			return 0, err
-		}
-	} else {
-		plans = e.evaluate(kind)
-	}
+	plans := e.evaluate(kind)
 	sel := e.selectPlans(plans)
 	e.commit(sel)
 	e.recycle(sel)
@@ -222,7 +191,7 @@ func (e *engine) pass(kind opKind) (int, error) {
 		mm.Count("adapt."+kind.String(), int64(len(sel)))
 		mm.Gauge("adapt.live_triangles", float64(e.tp.live))
 	}
-	return len(sel), nil
+	return len(sel)
 }
 
 // items returns the number of evaluation items for a kind: triangles for
@@ -390,14 +359,7 @@ func (e *engine) runParallel(body func(w int)) {
 	var wg sync.WaitGroup
 	wg.Add(e.workers)
 	for w := 0; w < e.workers; w++ {
-		job := func(w int) func() {
-			return func() { defer wg.Done(); body(w) }
-		}(w)
-		if e.opt.Pool != nil {
-			e.opt.Pool.Submit(job)
-		} else {
-			go job()
-		}
+		go func() { defer wg.Done(); body(w) }()
 	}
 	wg.Wait()
 }

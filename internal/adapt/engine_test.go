@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"pamg2d/internal/delaunay"
 	"pamg2d/internal/geom"
 	"pamg2d/internal/mesh"
 	"pamg2d/internal/metric"
@@ -138,17 +137,16 @@ func TestAdaptAnisotropicBL(t *testing.T) {
 }
 
 // TestAdaptDeterministicWorkers demands byte-identical output for every
-// worker count, with and without a shared pool.
+// worker count; Workers 0 resolves to the sequential path.
 func TestAdaptDeterministicWorkers(t *testing.T) {
 	f, err := metric.ParseSpec("bl:x0=0,y0=0,x1=1,y1=0,hn=0.03,ht=0.2,grow=0.7")
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int, pool *delaunay.WorkerPool) *mesh.Mesh {
+	run := func(workers int) *mesh.Mesh {
 		m := egrid(t, 6)
 		out, _, err := Adapt(m, metric.Analytic(m, f), Options{
 			Workers:  workers,
-			Pool:     pool,
 			Resample: f,
 		})
 		if err != nil {
@@ -156,43 +154,41 @@ func TestAdaptDeterministicWorkers(t *testing.T) {
 		}
 		return out
 	}
-	ref := run(1, nil)
-	pool := delaunay.NewWorkerPool(3)
-	defer pool.Close()
-	for _, w := range []int{2, 4, 7} {
-		got := run(w, nil)
+	ref := run(1)
+	for _, w := range []int{0, 2, 3, 4, 7} {
+		got := run(w)
 		if !reflect.DeepEqual(ref.Points, got.Points) || !reflect.DeepEqual(ref.Triangles, got.Triangles) {
 			t.Fatalf("workers=%d: adapted mesh differs from sequential result", w)
 		}
 	}
-	if got := run(0, pool); !reflect.DeepEqual(ref.Points, got.Points) || !reflect.DeepEqual(ref.Triangles, got.Triangles) {
-		t.Fatal("pooled run differs from sequential result")
-	}
 }
 
-// TestAdaptDistMatchesLocal runs the evaluation fan-out over an
-// in-process world and demands the identical mesh.
-func TestAdaptDistMatchesLocal(t *testing.T) {
+// TestAdaptWorkersMatchSequential runs a refining uniform field at 1 and 3
+// workers and demands the identical mesh and operation counts.
+func TestAdaptWorkersMatchSequential(t *testing.T) {
 	f, err := metric.ParseSpec("uniform:h=0.08")
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := egrid(t, 5)
-	ref, _, err := Adapt(m, metric.Analytic(m, f), Options{Resample: f})
+	ref, refRes, err := Adapt(m, metric.Analytic(m, f), Options{Resample: f, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2 := egrid(t, 5)
-	got, res, err := Adapt(m2, metric.Analytic(m2, f), Options{Resample: f, Ranks: 3})
+	m3 := egrid(t, 5)
+	got, res, err := Adapt(m3, metric.Analytic(m3, f), Options{Resample: f, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(ref.Points, got.Points) || !reflect.DeepEqual(ref.Triangles, got.Triangles) {
-		t.Fatalf("Ranks=3 mesh differs from local mesh (%d vs %d triangles)",
+		t.Fatalf("Workers=3 mesh differs from sequential mesh (%d vs %d triangles)",
 			got.NumTriangles(), ref.NumTriangles())
 	}
+	if *res != *refRes {
+		t.Fatalf("Workers=3 report %+v differs from sequential %+v", *res, *refRes)
+	}
 	if res.Splits == 0 {
-		t.Fatal("distributed run planned nothing")
+		t.Fatal("refining field planned no splits")
 	}
 }
 
@@ -275,63 +271,6 @@ func TestAdaptNoOp(t *testing.T) {
 	}
 	if out.NumTriangles() != m.NumTriangles() {
 		t.Fatalf("triangle count changed: %d -> %d", m.NumTriangles(), out.NumTriangles())
-	}
-}
-
-func TestPlanBatchCodecRoundTrip(t *testing.T) {
-	in := &planBatch{
-		Chunk: 7,
-		Plans: []*opPlan{
-			{
-				Kind: opSplit, Prio: 2.5, T: 3, E: 1,
-				Pos: geom.Pt(0.25, -1.5), Met: metric.Iso(0.1), Bnd: true,
-				Cav: []int32{3},
-				Pat: [2]patchRef{{T: 9, E: 2}, {T: -1, E: -1}},
-			},
-			{
-				Kind: opCollapse, Prio: 11, T: 4, E: 0, V: 12, Keep: 13, NDy: 2,
-				Cav: []int32{4, 5, 6, 7},
-				Dy: [2]dyingRef{
-					{D: 4, K: 20, R: 5, W: 14, KE: 1},
-					{D: 7, K: -1, R: 6, W: 15, KE: -1},
-				},
-			},
-			{
-				Kind: opCollapse, Prio: 3, T: 8, E: 2, V: 21, Keep: 22, NDy: 2,
-				Mid: true, Pos: geom.Pt(0.5, 0.75), Met: metric.FromSpacings(0.01, 0.1, geom.V(0, 1)),
-				Cav: []int32{8, 9, 10, 11, 30},
-				Dy: [2]dyingRef{
-					{D: 8, K: 40, R: 9, W: 23, KE: 0},
-					{D: 11, K: 41, R: 10, W: 24, KE: 2},
-				},
-			},
-		},
-	}
-	b := encodePlanBatch(in, nil)
-	if got, want := len(b), in.wireBytes(); got != want {
-		t.Fatalf("encoded %d bytes, wireBytes claims %d", got, want)
-	}
-	ref, err := decodePlanBatch(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := ref.(*planBatch)
-	if out.Chunk != in.Chunk || len(out.Plans) != len(in.Plans) {
-		t.Fatalf("round trip: %+v", out)
-	}
-	for i := range in.Plans {
-		if !reflect.DeepEqual(*in.Plans[i], *out.Plans[i]) {
-			t.Fatalf("plan %d round trip:\n in  %+v\n out %+v", i, *in.Plans[i], *out.Plans[i])
-		}
-	}
-	// Malformed input must error, not panic.
-	for cut := 0; cut < len(b); cut += 7 {
-		if _, err := decodePlanBatch(b[:cut]); err == nil {
-			t.Fatalf("truncation at %d bytes accepted", cut)
-		}
-	}
-	if _, err := decodePlanBatch(append(b, 0)); err == nil {
-		t.Fatal("trailing garbage accepted")
 	}
 }
 

@@ -352,6 +352,25 @@ func TestSurfaceRecovery(t *testing.T) {
 	}
 }
 
+// TestSurfaceSegmentMissingReported: a surface whose vertices are all in
+// the mesh but whose segments are not mesh edges at all (each spans
+// several grid cells) is reported segment by segment, without panicking.
+func TestSurfaceSegmentMissingReported(t *testing.T) {
+	pts := gridPoints(4)
+	m := triangulate(t, pts)
+	layer := &blayer.Layer{Surface: pslg.Loop{Points: []geom.Point{pts[0], pts[15], pts[3]}}}
+	rep := Run(&Snapshot{Mesh: m, Layers: []*blayer.Layer{layer}}, []Check{boundaryCheck{}})
+	missing := 0
+	for _, v := range rep.Violations {
+		if strings.Contains(v.Detail, "not recovered as a mesh boundary edge") {
+			missing++
+		}
+	}
+	if missing != 3 {
+		t.Fatalf("want 3 unrecovered surface segments, got %d: %+v", missing, rep.Violations)
+	}
+}
+
 func TestByName(t *testing.T) {
 	checks, err := ByName("orientation, delaunay")
 	if err != nil {

@@ -191,10 +191,11 @@ func (boundaryCheck) Run(s *Snapshot, _, _ int, rep *Reporter) {
 		pts := l.Surface.Points
 		n := len(pts)
 		for i := 0; i < n; i++ {
-			ai, aok := s.pointIdx[pts[i]]
-			bi, bok := s.pointIdx[pts[(i+1)%n]]
+			a, b := pts[i], pts[(i+1)%n]
+			ai, aok := s.pointIdx[a]
+			bi, bok := s.pointIdx[b]
 			if !aok {
-				rep.Reportf(-1, "surface %d vertex %d at %v missing from mesh", li, i, pts[i])
+				rep.Reportf(-1, "surface %d vertex %d at %v missing from mesh", li, i, a)
 				continue
 			}
 			if !bok {
@@ -203,12 +204,12 @@ func (boundaryCheck) Run(s *Snapshot, _, _ int, rep *Reporter) {
 			// Surfaces are CW holes in the final mesh, so the boundary edge
 			// runs opposite the CCW surface loop; accept either direction.
 			if !bset[[2]int32{ai, bi}] && !bset[[2]int32{bi, ai}] {
-				if n := s.edgeUse[edgeOf(pts[i], pts[(i+1)%n])]; n > 0 {
+				if uses := s.edgeUse[edgeOf(a, b)]; uses > 0 {
 					rep.Reportf(-1, "surface %d segment %d (%v-%v) is an interior edge (%d triangles), not a boundary edge",
-						li, i, pts[i], pts[(i+1)%n], n)
+						li, i, a, b, uses)
 				} else {
 					rep.Reportf(-1, "surface %d segment %d (%v-%v) not recovered as a mesh boundary edge",
-						li, i, pts[i], pts[(i+1)%n])
+						li, i, a, b)
 				}
 			}
 		}

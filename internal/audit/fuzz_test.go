@@ -12,19 +12,13 @@ import (
 // triangulated point cloud must always pass the strict structural +
 // Delaunay audit, and a mesh corrupted by one of three guaranteed-invalid
 // index mutations (orientation flip, repeated vertex, out-of-range index)
-// must always be flagged, attributed to the mutated element.
-//
-// The high bits of mut select the triangulation kernel (mut/64 + 1 insertion
-// workers, so mut < 64 keeps the original sequential kernel and the fuzzer
-// explores every worker count): the concurrent independent-set engine must
-// produce meshes the audit finds exactly as clean as the sequential one's.
+// must always be flagged, attributed to the mutated element. mut%3 picks
+// the mutation.
 func FuzzAuditDelaunay(f *testing.F) {
 	f.Add([]byte{0, 0, 50, 0, 0, 50, 50, 50, 25, 10, 10, 40}, uint8(0), uint16(0))
 	f.Add([]byte{0, 0, 90, 10, 40, 80, 10, 60, 70, 20, 30, 30, 60, 50}, uint8(1), uint16(1))
 	f.Add([]byte{5, 5, 200, 5, 5, 200, 200, 200, 100, 100, 150, 42, 33, 180}, uint8(2), uint16(2))
-	// Parallel-kernel seed: mut 193 -> 4 workers, on a cloud with duplicate
-	// and tightly clustered points that exercise the conflict-retry and
-	// sequential-fallback paths.
+	// A cloud with duplicate and tightly clustered points.
 	f.Add([]byte{0, 0, 200, 0, 0, 200, 200, 200, 100, 100, 100, 100, 101, 100,
 		100, 101, 101, 101, 30, 170, 170, 30, 90, 90, 110, 110, 50, 50}, uint8(193), uint16(4))
 
@@ -36,14 +30,7 @@ func FuzzAuditDelaunay(f *testing.F) {
 		for i := 0; i+1 < len(data); i += 2 {
 			pts = append(pts, geom.Pt(float64(data[i]), float64(data[i+1])))
 		}
-		in := delaunay.Input{Points: pts}
-		var res *delaunay.Result
-		var err error
-		if workers := int(mut)/64 + 1; workers > 1 {
-			res, _, err = delaunay.TriangulateParallel(in, delaunay.ParallelOptions{Workers: workers})
-		} else {
-			res, err = delaunay.Triangulate(in)
-		}
+		res, err := delaunay.Triangulate(delaunay.Input{Points: pts})
 		if err != nil {
 			t.Skip() // degenerate input (e.g. all points coincident)
 		}

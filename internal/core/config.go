@@ -71,22 +71,6 @@ type Config struct {
 	// SubdomainsPerRank sets the decoupling target (the paper
 	// over-decomposes for load balancing); default 4.
 	SubdomainsPerRank int
-	// KernelWorkers is the number of goroutines the Delaunay kernel uses
-	// inside each distributed task (independent-set batched insertion).
-	// 1 (and any negative value) keeps the sequential kernel; 0 resolves
-	// to runtime.NumCPU(). This is intra-rank parallelism, orthogonal to
-	// Ranks: each rank's meshing tasks individually fan their bulk point
-	// insertion across this many workers.
-	KernelWorkers int
-	// KernelShuffle turns on BRIO-style round-shuffled insertion batches in
-	// the parallel Delaunay kernel (KernelWorkers > 1): instead of feeding
-	// the x-sorted point order straight into the independent-set rounds —
-	// whose spatially adjacent batches retry heavily on clustered
-	// boundary-layer points — each batch interleaves points from across the
-	// whole domain, cutting Stats.Kernel.Conflicts at the cost of
-	// bin-seeded (rather than walk-coherent) point location. Off by
-	// default; no effect on the sequential kernel.
-	KernelShuffle bool
 	// NearBodyMargin inflates the boundary-layer bounding box to form the
 	// near-body box, in multiples of the box diagonal; default 0.25.
 	NearBodyMargin float64
@@ -200,7 +184,6 @@ func DefaultConfig() Config {
 		HMax:              4.0,
 		Ranks:             4,
 		SubdomainsPerRank: 4,
-		KernelWorkers:     1,
 		NearBodyMargin:    0.25,
 	}
 }
@@ -249,20 +232,6 @@ type StealStats struct {
 	Idle time.Duration
 }
 
-// KernelStats aggregates the intra-rank parallel Delaunay engine's
-// accounting across every distributed task of the run: how many
-// independent-set rounds ran, how many points committed concurrently,
-// how many were deferred by cavity conflicts, and how many took the
-// sequential fallback (duplicates, constrained-edge splits, degenerate
-// cavities). All zeros when KernelWorkers <= 1.
-type KernelStats struct {
-	Workers    int
-	Rounds     int
-	Inserted   int
-	Conflicts  int
-	Sequential int
-}
-
 // TaskMeasure is one task's measured execution, the calibration input of
 // the strong-scaling model.
 type TaskMeasure struct {
@@ -296,9 +265,6 @@ type Stats struct {
 	// distributed stage: how often ranks asked for work, how many tasks
 	// changed hands, and the total time meshers spent waiting for work.
 	Steals StealStats
-	// Kernel is the run-wide fold of the intra-rank parallel insertion
-	// engine's round/conflict counters (zero when KernelWorkers <= 1).
-	Kernel KernelStats
 	// Stages is the ordered per-stage record written by the engine's
 	// stats hook; the PhaseTimes/PhaseAllocs aggregates below are derived
 	// from it (the two boundary-layer stages sum into Boundary).

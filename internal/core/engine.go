@@ -2,13 +2,13 @@ package core
 
 // The engine/run split. An Engine is the long-lived half of the mesh
 // generator: it owns the rank fabric (the mpi.Cluster and, through it, the
-// persistent worlds and pooled wire buffers), the shared Delaunay kernel
-// worker pool, and an engine-lifetime metrics registry. A Run is the
-// per-request half: one Config executed under one context.Context with its
-// own Stats and (optional) Tracer, borrowing the engine's resources and
-// returning them clean. Many runs may be in flight on one engine at once —
-// that is the seam cmd/meshd serves traffic through — with admission
-// control bounding how many execute concurrently and how many may queue.
+// persistent worlds and pooled wire buffers) and an engine-lifetime
+// metrics registry. A Run is the per-request half: one Config executed
+// under one context.Context with its own Stats and (optional) Tracer,
+// borrowing the engine's resources and returning them clean. Many runs
+// may be in flight on one engine at once — that is the seam cmd/meshd
+// serves traffic through — with admission control bounding how many
+// execute concurrently and how many may queue.
 //
 // Generate and GenerateContext are thin wrappers over a throwaway engine,
 // so every pre-split caller keeps its one-run-owns-the-process view while
@@ -19,12 +19,10 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"pamg2d/internal/delaunay"
 	"pamg2d/internal/mpi"
 	"pamg2d/internal/trace"
 )
@@ -60,11 +58,6 @@ type EngineConfig struct {
 	// (reject as soon as MaxConcurrent runs are active). Ignored when
 	// MaxConcurrent is 0.
 	MaxQueue int
-	// KernelPoolSize is the size of the shared Delaunay insertion worker
-	// pool, created lazily on the first run with KernelWorkers > 1;
-	// 0 resolves to runtime.NumCPU(). The pool bounds the process's kernel
-	// goroutines no matter how many runs and tasks are in flight.
-	KernelPoolSize int
 	// Logger, when non-nil, receives a structured record per run
 	// lifecycle event (started / completed / failed) with the run ID,
 	// rank count, and outcome attached. Nil disables engine logging
@@ -74,15 +67,14 @@ type EngineConfig struct {
 }
 
 // Engine is the persistent mesh-generation service core: one fabric, one
-// kernel worker pool, one metrics registry, any number of runs. Create
-// with NewEngine, execute with Run, release with Close.
+// metrics registry, any number of runs. Create with NewEngine, execute
+// with Run, release with Close.
 type Engine struct {
 	ranks     int
 	fabric    *mpi.Cluster
 	ownFabric bool
 	multiProc bool
 	maxQueue  int
-	poolSize  int
 
 	metrics *trace.Metrics
 	logger  *slog.Logger
@@ -94,16 +86,13 @@ type Engine struct {
 	runs    sync.WaitGroup
 	serial  sync.Mutex // multi-process fabrics: one run at a time
 
-	poolMu sync.Mutex
-	pool   *delaunay.WorkerPool
-
 	closed atomic.Bool
 }
 
 // NewEngine builds an engine. The error mirrors GenerateContext's
 // rank/fabric validation so wrapper callers see identical failures.
 func NewEngine(ec EngineConfig) (*Engine, error) {
-	e := &Engine{ranks: ec.Ranks, maxQueue: ec.MaxQueue, poolSize: ec.KernelPoolSize, logger: ec.Logger}
+	e := &Engine{ranks: ec.Ranks, maxQueue: ec.MaxQueue, logger: ec.Logger}
 	if ec.Fabric != nil {
 		if e.ranks < 1 {
 			e.ranks = ec.Fabric.Size()
@@ -138,22 +127,6 @@ func (e *Engine) Metrics() *trace.Metrics { return e.metrics }
 
 // Active returns the number of runs past admission and still executing.
 func (e *Engine) Active() int { return int(e.active.Load()) }
-
-// kernelPool returns the shared insertion worker pool, creating it on
-// first use. Tasks attach it so concurrent runs share one bounded team
-// instead of spawning per-build goroutine squads.
-func (e *Engine) kernelPool() *delaunay.WorkerPool {
-	e.poolMu.Lock()
-	defer e.poolMu.Unlock()
-	if e.pool == nil {
-		n := e.poolSize
-		if n <= 0 {
-			n = runtime.NumCPU()
-		}
-		e.pool = delaunay.NewWorkerPool(n)
-	}
-	return e.pool
-}
 
 // admit reserves an execution slot, waiting in the bounded queue when the
 // engine is saturated. It fails fast with ErrEngineBusy when the queue is
@@ -234,12 +207,6 @@ func (e *Engine) Run(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.SubdomainsPerRank < 1 {
 		cfg.SubdomainsPerRank = 4
 	}
-	if cfg.KernelWorkers == 0 {
-		cfg.KernelWorkers = runtime.NumCPU()
-	}
-	if cfg.KernelWorkers < 1 {
-		cfg.KernelWorkers = 1
-	}
 	if cfg.NearBodyMargin <= 0 {
 		cfg.NearBodyMargin = 0.25
 	}
@@ -318,23 +285,15 @@ func (e *Engine) foldRun(st *Stats, wall time.Duration, err error) {
 	m.Gauge("engine.active", float64(e.active.Load()))
 }
 
-// Close retires the engine: it waits for in-flight runs to finish, shuts
-// the kernel worker pool down, and closes the fabric if the engine built
-// it (an attached fabric stays the caller's to close). Runs submitted
-// after Close fail with ErrEngineClosed. Close must not be called from
-// inside a Run callback.
+// Close retires the engine: it waits for in-flight runs to finish and
+// closes the fabric if the engine built it (an attached fabric stays the
+// caller's to close). Runs submitted after Close fail with
+// ErrEngineClosed. Close must not be called from inside a Run callback.
 func (e *Engine) Close() error {
 	if !e.closed.CompareAndSwap(false, true) {
 		return nil
 	}
 	e.runs.Wait()
-	e.poolMu.Lock()
-	pool := e.pool
-	e.pool = nil
-	e.poolMu.Unlock()
-	if pool != nil {
-		pool.Close()
-	}
 	if e.ownFabric {
 		return e.fabric.Close()
 	}

@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pamg2d/internal/blayer"
@@ -92,65 +90,15 @@ func regionTaskVals(kind int, pts []geom.Point, segs [][2]int32, holes []geom.Po
 	return vals
 }
 
-// taskCtx carries the shared read-only context every task needs. The
-// kernel-parallelism fields (workers, kern, tracer, rank) are filled by
-// runDistributed, not by the stage prepare functions: workers and kern are
-// phase-wide, rank is stamped per executing rank.
+// taskCtx carries the shared read-only context every task needs.
 type taskCtx struct {
 	frame  geom.BBox
 	size   sizing.Func
 	kernel Kernel
 	bl     blayer.Params
-	// workers is the intra-task insertion worker count (Config.KernelWorkers
-	// resolved); <= 1 selects the sequential Delaunay kernel.
-	workers int
-	// kern accumulates the parallel engine's per-build statistics across
-	// the phase's tasks; nil when the sequential kernel runs.
-	kern   *kernelCounters
-	tracer *trace.Tracer
-	rank   int
-	// pool, when non-nil, is the engine's shared kernel worker team; the
-	// parallel builds submit their stripe jobs to it instead of spawning a
-	// goroutine squad per build.
-	pool *delaunay.WorkerPool
-	// shuffle selects BRIO round-shuffled insertion batches
-	// (Config.KernelShuffle).
-	shuffle bool
 	// hook, when set (tests only), runs before each task's kind dispatch;
 	// a non-nil return fails the task on the executing rank.
 	hook func(kind int) error
-}
-
-// parOpts builds the Delaunay engine options for a task executing on this
-// context's rank.
-func (ctx *taskCtx) parOpts() delaunay.ParallelOptions {
-	return delaunay.ParallelOptions{
-		Workers:      ctx.workers,
-		Tracer:       ctx.tracer,
-		Rank:         ctx.rank,
-		Pool:         ctx.pool,
-		RoundShuffle: ctx.shuffle,
-	}
-}
-
-// kernelCounters accumulates the intra-rank insertion engine's statistics
-// across a phase's concurrently executing tasks; runDistributed folds the
-// totals into Stats.Kernel when the phase completes.
-type kernelCounters struct {
-	rounds     atomic.Int64
-	inserted   atomic.Int64
-	conflicts  atomic.Int64
-	sequential atomic.Int64
-}
-
-func (k *kernelCounters) add(ps *delaunay.ParStats) {
-	if k == nil || ps == nil {
-		return
-	}
-	k.rounds.Add(int64(ps.Rounds))
-	k.inserted.Add(int64(ps.Inserted))
-	k.conflicts.Add(int64(ps.Conflicts))
-	k.sequential.Add(int64(ps.Sequential))
 }
 
 // processTask executes a task's value vector and returns the produced
@@ -212,16 +160,7 @@ func processTaskCtx(vals []float64, ctx taskCtx) ([]float64, error) {
 		if len(pts) < 3 {
 			return nil, nil
 		}
-		leafIn := delaunay.Input{Points: pts, Sorted: true, Frame: frame}
-		var res *delaunay.Result
-		var err error
-		if ctx.workers > 1 {
-			var ps *delaunay.ParStats
-			res, ps, err = delaunay.TriangulateParallel(leafIn, ctx.parOpts())
-			ctx.kern.add(ps)
-		} else {
-			res, err = delaunay.Triangulate(leafIn)
-		}
+		res, err := delaunay.Triangulate(delaunay.Input{Points: pts, Sorted: true, Frame: frame})
 		if err != nil {
 			return nil, err
 		}
@@ -272,15 +211,7 @@ func processTaskCtx(vals []float64, ctx taskCtx) ([]float64, error) {
 			}
 			return out, nil
 		}
-		var res *delaunay.Result
-		var err error
-		if ctx.workers > 1 {
-			var ps *delaunay.ParStats
-			res, ps, err = delaunay.TriangulateRefinedParallel(in, qualityFor(size), ctx.parOpts())
-			ctx.kern.add(ps)
-		} else {
-			res, err = delaunay.TriangulateRefined(in, qualityFor(size))
-		}
+		res, err := delaunay.TriangulateRefined(in, qualityFor(size))
 		if err != nil {
 			return nil, err
 		}
@@ -325,23 +256,6 @@ func runDistributed(rc *RunCtx, stage string, tasks []loadbal.Task, tctx taskCtx
 		tctx.hook = func(kind int) error { return hook(stage, kind) }
 	}
 	tr := rc.tracer
-	// Intra-task kernel parallelism: GenerateContext resolved the worker
-	// count already, but callers reaching runDistributed through other
-	// paths (tests) may carry the raw convention, so resolve defensively.
-	tctx.workers = cfg.KernelWorkers
-	if tctx.workers == 0 {
-		tctx.workers = runtime.NumCPU()
-	}
-	var kern *kernelCounters
-	if tctx.workers > 1 {
-		kern = &kernelCounters{}
-		tctx.kern = kern
-		tctx.tracer = tr
-		tctx.shuffle = cfg.KernelShuffle
-		if rc.eng != nil {
-			tctx.pool = rc.eng.kernelPool()
-		}
-	}
 	world := rc.newWorld()
 	world.SetTracer(tr)
 	win := world.NewWindow(cfg.Ranks)
@@ -366,10 +280,6 @@ func runDistributed(rc *RunCtx, stage string, tasks []loadbal.Task, tctx taskCtx
 	opt.Tracer = tr
 	wireRecovery(&opt, world, tasks, initial)
 	err := world.RunCtx(rc.ctx, func(c *mpi.Comm) error {
-		// Per-rank context copy: the kernel worker spans of a task executed
-		// here must land on this rank's tracer track.
-		tc := tctx
-		tc.rank = c.Rank()
 		bs, err := loadbal.Run(rc.ctx, c, win, initial[c.Rank()], len(tasks), opt, func(task loadbal.Task) {
 			vals := task.Vals
 			if vals == nil && task.Payload != nil {
@@ -380,7 +290,7 @@ func runDistributed(rc *RunCtx, stage string, tasks []loadbal.Task, tctx taskCtx
 				sp = tr.Begin(c.Rank(), trace.CatTask, taskKindName(vals))
 			}
 			t0 := time.Now()
-			tris, perr := processTaskCtx(vals, tc)
+			tris, perr := processTaskCtx(vals, tctx)
 			dt := time.Since(t0)
 			if tr.Enabled() {
 				sp.End(trace.I("id", int(task.ID)), trace.F("cost", task.Cost),
@@ -515,7 +425,6 @@ func runDistributed(rc *RunCtx, stage string, tasks []loadbal.Task, tctx taskCtx
 
 	rc.stats.Tasks = append(rc.stats.Tasks, measures...)
 	rc.foldBalancer(perRank, balStats)
-	rc.foldKernel(tctx.workers, kern)
 	rc.wireMsgs += world.Stats().Messages.Load()
 	rc.wireBytes += world.Stats().Bytes.Load()
 	return results, nil
@@ -680,24 +589,6 @@ func (rc *RunCtx) foldBalancer(perRank []RankStat, balStats []loadbal.Stats) {
 	}
 	rc.stats.LoadBalance = append(rc.stats.LoadBalance, balStats...)
 	rc.stageRanks = perRank
-}
-
-// foldKernel folds one distributed stage's intra-rank insertion-engine
-// counters into the run statistics, mirroring foldBalancer for the kernel
-// axis of the parallelism. A nil kern (sequential kernel) records only the
-// resolved worker count.
-func (rc *RunCtx) foldKernel(workers int, kern *kernelCounters) {
-	ks := &rc.stats.Kernel
-	if workers > ks.Workers {
-		ks.Workers = workers
-	}
-	if kern == nil {
-		return
-	}
-	ks.Rounds += int(kern.rounds.Load())
-	ks.Inserted += int(kern.inserted.Load())
-	ks.Conflicts += int(kern.conflicts.Load())
-	ks.Sequential += int(kern.sequential.Load())
 }
 
 func totalCost(tasks []loadbal.Task) float64 {

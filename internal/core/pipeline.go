@@ -41,10 +41,9 @@ func Generate(cfg Config) (*Result, error) {
 // Engine instead and call Engine.Run directly.
 func GenerateContext(ctx context.Context, cfg Config) (*Result, error) {
 	eng, err := NewEngine(EngineConfig{
-		Ranks:          cfg.Ranks,
-		Fabric:         cfg.Fabric,
-		KernelPoolSize: cfg.KernelWorkers,
-		Logger:         cfg.Logger,
+		Ranks:  cfg.Ranks,
+		Fabric: cfg.Fabric,
+		Logger: cfg.Logger,
 	})
 	if err != nil {
 		return nil, err
@@ -78,13 +77,6 @@ func foldMetrics(m *trace.Metrics, st *Stats) {
 	// tasks.total counts distributed task executions (audit jobs included),
 	// so it always equals the sum of the tasks.rank.N counters.
 	m.Count("tasks.total", totalTasks)
-	if st.Kernel.Workers > 0 {
-		m.Gauge("kernel.workers", float64(st.Kernel.Workers))
-		m.Count("kernel.rounds", int64(st.Kernel.Rounds))
-		m.Count("kernel.inserted", int64(st.Kernel.Inserted))
-		m.Count("kernel.conflicts", int64(st.Kernel.Conflicts))
-		m.Count("kernel.sequential", int64(st.Kernel.Sequential))
-	}
 	m.Count("steals.requests", int64(st.Steals.Requests))
 	m.Count("steals.granted", int64(st.Steals.Granted))
 	m.Count("steals.gotten", int64(st.Steals.Gotten))

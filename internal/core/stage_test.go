@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"pamg2d/internal/loadbal"
 	"pamg2d/internal/mpi"
 )
 
@@ -105,6 +108,50 @@ func TestCancelBeforeFirstStage(t *testing.T) {
 	}
 	if pe.Rank != -1 {
 		t.Errorf("cancellation before any rank ran has Rank = %d, want -1", pe.Rank)
+	}
+}
+
+// TestTaskPanicAttribution makes one task panic, in a mesh stage and in
+// the audit stage, and checks the run fails with a *PhaseError naming the
+// stage, the executing rank, the task id and the panic value, instead of
+// losing the task's result.
+func TestTaskPanicAttribution(t *testing.T) {
+	for _, stage := range []string{StageInviscid, StageAudit} {
+		for _, ranks := range []int{1, 4} {
+			cfg := smallConfig(ranks)
+			cfg.Audit = true
+			var once sync.Once
+			cfg.TaskHook = func(st string, kind int) error {
+				if st == stage {
+					once.Do(func() { panic("injected task panic") })
+				}
+				return nil
+			}
+			_, err := Generate(cfg)
+			if err == nil {
+				t.Fatalf("%s/%d ranks: panicking task did not fail the run", stage, ranks)
+			}
+			var pe *PhaseError
+			if !errors.As(err, &pe) {
+				t.Fatalf("%s/%d ranks: error is %T (%v), want *PhaseError", stage, ranks, err, err)
+			}
+			if pe.Stage != stage {
+				t.Errorf("%s/%d ranks: PhaseError.Stage = %q", stage, ranks, pe.Stage)
+			}
+			if pe.Rank < 0 || pe.Rank >= ranks {
+				t.Errorf("%s/%d ranks: PhaseError.Rank = %d, want a rank in [0, %d)", stage, ranks, pe.Rank, ranks)
+			}
+			var tp *loadbal.TaskPanicError
+			if !errors.As(err, &tp) {
+				t.Fatalf("%s/%d ranks: error does not carry the task panic: %v", stage, ranks, err)
+			}
+			if tp.ID < 0 || tp.Value != "injected task panic" {
+				t.Errorf("%s/%d ranks: task panic = %+v", stage, ranks, *tp)
+			}
+			if msg := err.Error(); !strings.Contains(msg, "stage "+stage) || !strings.Contains(msg, "panicked: injected task panic") {
+				t.Errorf("%s/%d ranks: message %q does not name the stage and the panic", stage, ranks, msg)
+			}
+		}
 	}
 }
 

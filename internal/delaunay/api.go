@@ -2,6 +2,7 @@ package delaunay
 
 import (
 	"fmt"
+	"slices"
 
 	"pamg2d/internal/geom"
 )
@@ -176,3 +177,35 @@ func (t *Triangulation) Extract() *Result {
 
 // CheckDelaunay validates structural invariants; exposed for tests.
 func (t *Triangulation) CheckDelaunay(full bool) error { return t.checkInvariants(full) }
+
+// insertionOrder computes the bulk-insertion order of Build: the caller's
+// x-sorted order, or a sort here. Sorted insertion makes the
+// walk-from-last point location near O(1) per insert; without
+// caller-provided spatial coherence, refinement and segment recovery issue
+// scattered locate queries, so the bin seed is enabled to bound those
+// walks (BRIO-style) without perturbing the deterministic insertion order.
+func insertionOrder(in Input, t *Triangulation) []int32 {
+	order := make([]int32, len(in.Points))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	if !in.Sorted {
+		pts := in.Points
+		slices.SortFunc(order, func(i, j int32) int {
+			a, b := pts[i], pts[j]
+			switch {
+			case a.X < b.X:
+				return -1
+			case a.X > b.X:
+				return 1
+			case a.Y < b.Y:
+				return -1
+			case a.Y > b.Y:
+				return 1
+			}
+			return 0
+		})
+		t.EnableBinSeeding(geom.BBoxOf(in.Points), len(in.Points))
+	}
+	return order
+}

@@ -58,10 +58,7 @@ type Triangulation struct {
 	carved bool
 
 	// scratch is the sequential insertion path's cavity-search state,
-	// reused across insertions to avoid per-insert allocation. The
-	// concurrent engine (parallel.go) shards this state instead: each
-	// pending point carries its own cavScratch so cavity searches from
-	// multiple workers never share buffers.
+	// reused across insertions to avoid per-insert allocation.
 	scratch cavScratch
 
 	// starMark/starStack/starEpoch are the star-traversal scratch shared by
@@ -104,9 +101,8 @@ type cavityEdge struct {
 
 // cavScratch is one insertion's cavity-search scratch: the cavity triangle
 // list, its directed boundary edges, the breadth-first search worklist,
-// and commit's open fan-edge list. The triangulation owns one for the
-// sequential path; the concurrent engine keeps one per pending point so
-// cavity searches and commits run without shared buffers.
+// and commit's open fan-edge list. The triangulation owns one and reuses
+// it across insertions.
 type cavScratch struct {
 	cavityTris  []int32
 	cavityEdges []cavityEdge

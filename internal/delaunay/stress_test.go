@@ -1,8 +1,10 @@
 package delaunay
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -341,5 +343,58 @@ func TestRandomPolygonProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestConcurrentBuildsIndependent runs the same triangulations on many
+// goroutines at once, the way in-process ranks run their meshing tasks,
+// and demands every result equal the solo one: the kernel keeps no
+// shared mutable state outside a Triangulation. Under -race this is the
+// kernel's data-race gate.
+func TestConcurrentBuildsIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	cloud := make([]geom.Point, 2000)
+	for i := range cloud {
+		cloud[i] = geom.Pt(rng.Float64()*10, rng.Float64()*10)
+	}
+	square := Input{
+		Points:   []geom.Point{geom.Pt(0, 0), geom.Pt(4, 0), geom.Pt(4, 4), geom.Pt(0, 4), geom.Pt(1.5, 1.5), geom.Pt(2.5, 1.5), geom.Pt(2, 2.5)},
+		Segments: [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {4, 5}, {5, 6}, {6, 4}},
+		Holes:    []geom.Point{geom.Pt(2, 1.8)},
+	}
+	q := Quality{MaxRadiusEdgeRatio: math.Sqrt2, MaxArea: 0.02}
+	build := func() (*Result, *Result, error) {
+		a, err := Triangulate(Input{Points: cloud})
+		if err != nil {
+			return nil, nil, err
+		}
+		b, err := TriangulateRefined(square, q)
+		return a, b, err
+	}
+	wantA, wantB, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines = 8
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func() {
+			a, b, err := build()
+			switch {
+			case err != nil:
+				errs <- err
+			case !reflect.DeepEqual(a, wantA):
+				errs <- fmt.Errorf("concurrent point-cloud build differs from the solo build")
+			case !reflect.DeepEqual(b, wantB):
+				errs <- fmt.Errorf("concurrent refined build differs from the solo build")
+			default:
+				errs <- nil
+			}
+		}()
+	}
+	for g := 0; g < goroutines; g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"container/heap"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"time"
@@ -85,6 +86,17 @@ type Options struct {
 	// Lookup re-materializes a task by ID for the re-queue path (the
 	// caller holds the full task list; the root only learns IDs).
 	Lookup func(id int32) (Task, bool)
+}
+
+// TaskPanicError reports a task whose process callback panicked, with the
+// recovered panic value.
+type TaskPanicError struct {
+	ID    int32
+	Value any
+}
+
+func (e *TaskPanicError) Error() string {
+	return fmt.Sprintf("task %d panicked: %v", e.ID, e.Value)
 }
 
 // DefaultOptions returns the tuning used by the pipeline.
@@ -215,8 +227,11 @@ func (s *state) cancel() {
 // The run ends early when ctx is canceled or the world is torn down: the
 // task in flight completes, queued tasks are abandoned, both goroutines
 // return promptly (no leak), and the teardown cause is returned alongside
-// the stats accumulated so far. A nil error means every local pop was
-// processed and termination arrived from the root.
+// the stats accumulated so far. A task whose process callback panics
+// still counts toward termination, so the run completes; Run then returns
+// the rank's first panic as a *TaskPanicError. A nil error means every
+// local pop was processed without panicking and termination arrived from
+// the root.
 func Run(ctx context.Context, c *mpi.Comm, win *mpi.Window, initial []Task, totalTasks int, opt Options, process func(Task)) (Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -245,7 +260,8 @@ func Run(ctx context.Context, c *mpi.Comm, win *mpi.Window, initial []Task, tota
 
 	var stats Stats
 	var statsMu sync.Mutex
-	var runErr error // set by the communicator on abort, under statsMu
+	var runErr error             // set by the communicator on abort, under statsMu
+	var panicErr *TaskPanicError // the first task panic, under statsMu
 
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -275,11 +291,11 @@ func Run(ctx context.Context, c *mpi.Comm, win *mpi.Window, initial []Task, tota
 			// A panicking task must not take down the rank: the mesher
 			// records the failure and keeps draining, and the completion
 			// still counts toward termination so the world shuts down.
-			failed := false
+			var panicked *TaskPanicError
 			func() {
 				defer func() {
 					if p := recover(); p != nil {
-						failed = true
+						panicked = &TaskPanicError{ID: t.ID, Value: p}
 					}
 				}()
 				process(t)
@@ -287,8 +303,11 @@ func Run(ctx context.Context, c *mpi.Comm, win *mpi.Window, initial []Task, tota
 			st.finish(t)
 			statsMu.Lock()
 			stats.Processed++
-			if failed {
+			if panicked != nil {
 				stats.Failed++
+				if panicErr == nil {
+					panicErr = panicked
+				}
 			}
 			statsMu.Unlock()
 			// Report the completion to the root's termination counter; in a
@@ -576,6 +595,9 @@ func Run(ctx context.Context, c *mpi.Comm, win *mpi.Window, initial []Task, tota
 	}()
 
 	wg.Wait()
+	if runErr == nil && panicErr != nil {
+		return stats, panicErr
+	}
 	return stats, runErr
 }
 

@@ -3,6 +3,7 @@ package loadbal
 import (
 	"container/heap"
 	"context"
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -206,11 +207,12 @@ func TestPanickingTaskDoesNotHang(t *testing.T) {
 	world := mpi.NewWorld(2)
 	win := world.NewWindow(2)
 	var stats [2]Stats
+	var errs [2]error
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		world.Run(func(c *mpi.Comm) {
-			stats[c.Rank()], _ = Run(context.Background(), c, win, dist[c.Rank()], 3,
+			stats[c.Rank()], errs[c.Rank()] = Run(context.Background(), c, win, dist[c.Rank()], 3,
 				Options{StealBelow: 0.5, Poll: 100 * time.Microsecond},
 				func(task Task) {
 					if task.ID == 1 {
@@ -231,6 +233,19 @@ func TestPanickingTaskDoesNotHang(t *testing.T) {
 	}
 	if processed != 3 {
 		t.Errorf("processed = %d, want 3 (failures still count toward termination)", processed)
+	}
+	// The rank that ran the task reports the panic; the other finishes clean.
+	var tp *TaskPanicError
+	for r, err := range errs {
+		if stats[r].Failed == 0 {
+			if err != nil {
+				t.Errorf("rank %d: no task panicked here, got %v", r, err)
+			}
+			continue
+		}
+		if !errors.As(err, &tp) || tp.ID != 1 || tp.Value != "task exploded" {
+			t.Errorf("rank %d returned %v, want the panic of task 1", r, err)
+		}
 	}
 }
 

@@ -42,7 +42,7 @@ const (
 	CatIdle   = "idle"
 	CatSteal  = "steal"
 	CatMPI    = "mpi"
-	CatKernel = "kernel" // intra-rank parallel Delaunay insertion workers
+	CatKernel = "kernel" // adaptation operator passes
 	// CatRecover marks fault-tolerance work: the span from a rank death
 	// being handled to the degraded phase's termination, and the instant
 	// events of the dead rank's task re-queue.
