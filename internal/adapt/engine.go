@@ -17,16 +17,17 @@ package adapt
 // belong to a different commit.
 //
 // Determinism: evaluation runs over fixed-size chunks whose results are
-// merged in chunk order, the merged plans are sorted by priority with a
-// stable sort, selection walks them in that order, and ring walks use a
-// canonical starting triangle — so the adapted mesh is a function of the
-// input mesh and field alone, independent of worker count and commit
-// scheduling.
+// merged in chunk order, the merged plans are sorted by priority with
+// ties broken by merge position, selection walks them in that order,
+// and ring walks use a canonical starting triangle — so the adapted mesh
+// is a function of the input mesh and field alone, independent of worker
+// count and commit scheduling.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"pamg2d/internal/geom"
@@ -95,7 +96,10 @@ type engine struct {
 	// the current selection sweep.
 	claimVert []uint32
 	epoch     uint32
-	res       Result
+	// qual[t] is triangle t's quality at the start of the current smooth
+	// pass, filled by fillQuality; the buffer is reused across passes.
+	qual []float64
+	res  Result
 }
 
 const evalChunk = 256
@@ -106,6 +110,21 @@ const evalChunk = 256
 // vertex; tensors at vertices created by splits are interpolated (or
 // resampled via opt.Resample).
 func Adapt(m *mesh.Mesh, f metric.Field, opt Options) (*mesh.Mesh, *Result, error) {
+	e, err := newEngine(m, f, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := e.run(); err != nil {
+		return nil, nil, err
+	}
+	// A copy, so the caller's report does not keep the engine reachable.
+	res := e.res
+	return e.tp.mesh(), &res, nil
+}
+
+// newEngine validates the field, resolves option defaults and builds the
+// editable topology.
+func newEngine(m *mesh.Mesh, f metric.Field, opt Options) (*engine, error) {
 	if opt.Band <= 1 {
 		opt.Band = DefaultBand
 	}
@@ -117,19 +136,15 @@ func Adapt(m *mesh.Mesh, f metric.Field, opt Options) (*mesh.Mesh, *Result, erro
 	}
 	for i, t := range f {
 		if !t.SPD() {
-			return nil, nil, fmt.Errorf("adapt: tensor %d is not SPD: %+v", i, t)
+			return nil, fmt.Errorf("adapt: tensor %d is not SPD: %+v", i, t)
 		}
 	}
 	tp, err := newTopo(m, f)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	e := &engine{tp: tp, opt: opt, workers: opt.Workers,
-		claimVert: make([]uint32, len(tp.pts))}
-	if err := e.run(); err != nil {
-		return nil, nil, err
-	}
-	return tp.mesh(), &e.res, nil
+	return &engine{tp: tp, opt: opt, workers: opt.Workers,
+		claimVert: make([]uint32, len(tp.pts))}, nil
 }
 
 func (e *engine) run() error {
@@ -189,6 +204,8 @@ func (e *engine) pass(kind opKind) int {
 		span.End(trace.I("planned", len(plans)), trace.I("committed", len(sel)))
 		mm := e.opt.Tracer.Metrics()
 		mm.Count("adapt."+kind.String(), int64(len(sel)))
+		mm.Count("adapt.planned", int64(len(plans)))
+		mm.Count("adapt.conflicts", int64(len(plans)-len(sel)))
 		mm.Gauge("adapt.live_triangles", float64(e.tp.live))
 	}
 	return len(sel)
@@ -203,36 +220,90 @@ func (e *engine) items(kind opKind) int {
 	return len(e.tp.tri)
 }
 
+// evalScratch is one evaluation worker's reusable state: two ring
+// buffers, the collapse neighbor list, and the plan under construction.
+// A plan leaves the scratch (opPlan.clone) only once it validates, so
+// rejected candidates allocate nothing.
+type evalScratch struct {
+	ring1, ring2 []int32
+	nbrs         []int32
+	plan         opPlan
+}
+
+// start resets the scratch plan to p, keeping the cavity buffer's
+// capacity, and returns it for filling.
+func (sc *evalScratch) start(p opPlan) *opPlan {
+	p.Cav = sc.plan.Cav[:0]
+	sc.plan = p
+	return &sc.plan
+}
+
 // evaluate computes every candidate plan of one kind against the frozen
 // topology. Work is cut into fixed chunks independent of the worker
 // count and the per-chunk results are merged in chunk order, so the plan
-// list — and everything downstream — is worker-count invariant.
+// list — and everything downstream — is worker-count invariant. Each
+// plan records its merge position for the selection sort's tie-break.
 func (e *engine) evaluate(kind opKind) []*opPlan {
+	if kind == opSmooth {
+		e.fillQuality()
+	}
 	n := e.items(kind)
 	chunks := (n + evalChunk - 1) / evalChunk
 	results := make([][]*opPlan, chunks)
 	e.runParallel(func(w int) {
-		s1 := make([]int32, 0, maxRing)
-		s2 := make([]int32, 0, maxRing)
+		sc := &evalScratch{
+			ring1: make([]int32, 0, maxRing),
+			ring2: make([]int32, 0, maxRing),
+			nbrs:  make([]int32, 0, 2*maxRing),
+		}
 		for c := w; c < chunks; c += e.workers {
-			results[c] = e.evalRange(kind, c*evalChunk, min((c+1)*evalChunk, n), s1, s2)
+			results[c] = e.evalRange(kind, c*evalChunk, min((c+1)*evalChunk, n), sc)
 		}
 	})
-	var out []*opPlan
+	total := 0
 	for _, r := range results {
-		out = append(out, r...)
+		total += len(r)
+	}
+	out := make([]*opPlan, 0, total)
+	for _, r := range results {
+		for _, p := range r {
+			p.seq = int32(len(out))
+			out = append(out, p)
+		}
 	}
 	return out
 }
 
+// fillQuality caches the quality of every live triangle for the smooth
+// pass. Each triangle lies in up to three vertex rings, and the topology
+// stays frozen until the pass commits, so evalSmooth reads its old ring
+// quality from here instead of recomputing it per ring. The vertex order
+// is the stored one, as triQuality uses, so the cached values are the
+// bits evalSmooth would compute.
+func (e *engine) fillQuality() {
+	tp := e.tp
+	n := len(tp.tri)
+	e.qual = slices.Grow(e.qual[:0], n)[:n]
+	chunks := (n + evalChunk - 1) / evalChunk
+	e.runParallel(func(w int) {
+		for c := w; c < chunks; c += e.workers {
+			for t := c * evalChunk; t < min((c+1)*evalChunk, n); t++ {
+				if !tp.tri[t].dead {
+					e.qual[t] = tp.triQuality(int32(t))
+				}
+			}
+		}
+	})
+}
+
 // evalRange evaluates items [from, to) of one kind. Edge-based kinds
 // visit each undirected edge once, owned by the lower-indexed triangle.
-func (e *engine) evalRange(kind opKind, from, to int, s1, s2 []int32) []*opPlan {
+func (e *engine) evalRange(kind opKind, from, to int, sc *evalScratch) []*opPlan {
 	tp := e.tp
 	var out []*opPlan
 	if kind == opSmooth {
 		for v := int32(from); v < int32(to); v++ {
-			if p := e.evalSmooth(v, s1); p != nil {
+			if p := e.evalSmooth(v, sc.ring1); p != nil {
 				out = append(out, p)
 			}
 		}
@@ -250,9 +321,9 @@ func (e *engine) evalRange(kind opKind, from, to int, s1, s2 []int32) []*opPlan 
 			var p *opPlan
 			switch kind {
 			case opSplit:
-				p = e.evalSplit(t, ei)
+				p = e.evalSplit(t, ei, sc)
 			case opCollapse:
-				p = e.evalCollapse(t, ei, s1, s2)
+				p = e.evalCollapse(t, ei, sc)
 			case opSwap:
 				if nb >= 0 {
 					p = e.evalSwap(t, ei)
@@ -266,14 +337,19 @@ func (e *engine) evalRange(kind opKind, from, to int, s1, s2 []int32) []*opPlan 
 	return out
 }
 
-// selectPlans picks a maximal conflict-free subset: plans in stable
-// priority order, claiming every vertex of every cavity triangle under
-// the current epoch; a plan touching a claimed vertex is dropped (it
+// selectPlans picks a maximal conflict-free subset: plans in priority
+// order (ties in merge order), claiming every vertex of every cavity
+// triangle under the current epoch; a plan touching a claimed vertex is dropped (it
 // re-evaluates next pass). Splits get their new vertex and triangle
 // slots assigned here, on the sequential path.
 func (e *engine) selectPlans(plans []*opPlan) []*opPlan {
 	tp := e.tp
-	sort.SliceStable(plans, func(i, j int) bool { return plans[i].Prio > plans[j].Prio })
+	slices.SortFunc(plans, func(a, b *opPlan) int {
+		if c := cmp.Compare(b.Prio, a.Prio); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
 	e.epoch++
 	if len(e.claimVert) < len(tp.pts) {
 		e.claimVert = append(e.claimVert, make([]uint32, len(tp.pts)-len(e.claimVert))...)

@@ -219,9 +219,10 @@ func TestAdaptTracerMetrics(t *testing.T) {
 	tr := trace.New(1)
 	f := func(geom.Point) metric.M { return metric.Iso(0.1) }
 	m := egrid(t, 4)
-	if _, _, err := Adapt(m, metric.Analytic(m, f), Options{
-		Resample: f, Tracer: tr, MaxSweeps: 3,
-	}); err != nil {
+	_, res, err := Adapt(m, metric.Analytic(m, f), Options{
+		Resample: f, Tracer: tr, MaxSweeps: 3, Workers: 2,
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if tr.OpenSpans() != 0 {
@@ -239,6 +240,22 @@ func TestAdaptTracerMetrics(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("adapt.split counter missing from %v", snap.Counters)
+	}
+	// The registry agrees with the Result: every plan is either committed
+	// or lost to a vertex-claim conflict.
+	c := snap.Counters
+	ops := int64(res.Splits + res.Collapses + res.Swaps + res.Smooths)
+	if res.Conflicts == 0 {
+		t.Fatalf("no vertex-claim conflicts in %+v: the counters are not exercised", *res)
+	}
+	if c["adapt.conflicts"] != int64(res.Conflicts) {
+		t.Fatalf("adapt.conflicts = %d, Result.Conflicts = %d", c["adapt.conflicts"], res.Conflicts)
+	}
+	if got := c["adapt.split"] + c["adapt.collapse"] + c["adapt.swap"] + c["adapt.smooth"]; got != ops {
+		t.Fatalf("per-kind counters sum to %d, Result ops %d", got, ops)
+	}
+	if c["adapt.planned"] != ops+int64(res.Conflicts) {
+		t.Fatalf("adapt.planned = %d, want ops %d + conflicts %d", c["adapt.planned"], ops, res.Conflicts)
 	}
 }
 
@@ -317,4 +334,54 @@ func TestIndicatorEdgeCases(t *testing.T) {
 	if v := sz(geom.Pt(0.4, 0.1)); v <= 0 || math.IsNaN(v) {
 		t.Fatalf("sizing at degenerate cell: %v", v)
 	}
+}
+
+// TestLogMetricInStep: after every sweep the engine's per-vertex log
+// cache holds exactly met[v].Log() for every live vertex, on both the
+// interpolating and the resampling path.
+func TestLogMetricInStep(t *testing.T) {
+	f, err := metric.ParseSpec("bl:x0=0,y0=0,x1=1,y1=0,hn=0.02,ht=0.2,grow=0.6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, resample := range []bool{false, true} {
+		m := egrid(t, 8)
+		opt := Options{Workers: 2}
+		if resample {
+			opt.Resample = f
+		}
+		e, err := newEngine(m, metric.Analytic(m, f), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked := 0
+		e.opt.CheckEach = func(sweep int, _ *mesh.Mesh) error {
+			tp := e.tp
+			if len(tp.lmet) != len(tp.met) {
+				return fmt.Errorf("sweep %d: %d logs for %d tensors", sweep, len(tp.lmet), len(tp.met))
+			}
+			for v := range tp.met {
+				if tp.vtri[v] < 0 {
+					continue
+				}
+				if want := tp.met[v].Log(); !sameBits(tp.lmet[v], want) {
+					return fmt.Errorf("sweep %d vertex %d: cached log %+v, want %+v", sweep, v, tp.lmet[v], want)
+				}
+			}
+			checked++
+			return nil
+		}
+		if err := e.run(); err != nil {
+			t.Fatalf("resample %v: %v", resample, err)
+		}
+		if checked == 0 || e.res.Smooths == 0 || e.res.Collapses == 0 {
+			t.Fatalf("resample %v: %d sweeps checked, result %+v: the moving operators did not run", resample, checked, e.res)
+		}
+	}
+}
+
+func sameBits(a, b metric.M) bool {
+	return math.Float64bits(a.XX) == math.Float64bits(b.XX) &&
+		math.Float64bits(a.XY) == math.Float64bits(b.XY) &&
+		math.Float64bits(a.YY) == math.Float64bits(b.YY)
 }

@@ -2,6 +2,7 @@ package adapt
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"pamg2d/internal/geom"
@@ -58,7 +59,8 @@ type dyingRef struct {
 }
 
 // opPlan is one evaluated cavity operation. The evaluation phase fills
-// everything except newV/slots (assigned at selection for splits).
+// everything except newV/slots (assigned at selection for splits); seq
+// is the plan's position in the merged evaluation order.
 // Cav lists the triangles the commit rewrites or deletes. Selection
 // claims every vertex of every cavity triangle: operations with
 // disjoint cavity vertex sets read and write disjoint coordinates,
@@ -66,6 +68,7 @@ type dyingRef struct {
 // their commits are independent (see engine.selectPlans).
 type opPlan struct {
 	Kind opKind
+	seq  int32      // merge position; fills Kind's padding
 	Prio float64    // selection priority, larger first
 	T    int32      // anchor triangle (split/collapse/swap)
 	E    int8       // anchor edge in T
@@ -82,6 +85,14 @@ type opPlan struct {
 
 	newV  int32
 	slots [2]int32
+}
+
+// clone copies a validated scratch plan to the heap with an exactly
+// sized cavity; the plan lives until its pass ends.
+func (p *opPlan) clone() *opPlan {
+	q := *p
+	q.Cav = slices.Clone(p.Cav)
+	return &q
 }
 
 // edgeVerts returns the endpoints of anchor edge e of triangle t.
@@ -119,7 +130,7 @@ func (e *engine) patch(p patchRef, val int32) {
 // metric length exceeds band. The metric at the new vertex comes from
 // Options.Resample (analytic fields) or the log-Euclidean mean of the
 // endpoints.
-func (e *engine) evalSplit(t int32, ei int) *opPlan {
+func (e *engine) evalSplit(t int32, ei int, sc *evalScratch) *opPlan {
 	tp := e.tp
 	a, b := tp.edgeVerts(t, ei)
 	l := tp.edgeLen(a, b)
@@ -131,7 +142,7 @@ func (e *engine) evalSplit(t int32, ei int) *opPlan {
 	if e.opt.Resample != nil {
 		mm = e.opt.Resample(mid)
 	} else {
-		mm = metric.Interp(tp.met[a], tp.met[b], 0.5)
+		mm = metric.InterpLog(tp.lmet[a], tp.lmet[b], 0.5)
 	}
 	r := tp.tri[t]
 	c := r.v[(ei+2)%3]
@@ -141,14 +152,14 @@ func (e *engine) evalSplit(t int32, ei int) *opPlan {
 		geom.Orient2DSign(mid, tp.pts[b], tp.pts[c]) <= 0 {
 		return nil
 	}
-	p := &opPlan{Kind: opSplit, Prio: l, T: t, E: int8(ei), Pos: mid, Met: mm}
+	p := sc.start(opPlan{Kind: opSplit, Prio: l, T: t, E: int8(ei), Pos: mid, Met: mm})
 	p.Cav = append(p.Cav, t)
 	tBC := r.n[(ei+1)%3]
 	p.Pat[0] = patchRef{T: tBC, E: tp.nbrEdge(tBC, t)}
 	p.Pat[1] = patchRef{T: -1}
 	if n < 0 {
 		p.Bnd = true
-		return p
+		return p.clone()
 	}
 	en := tp.find(n, b) // edge (b, a) in the neighbor
 	if en < 0 || tp.tri[n].v[(en+1)%3] != a {
@@ -162,7 +173,7 @@ func (e *engine) evalSplit(t int32, ei int) *opPlan {
 	p.Cav = append(p.Cav, n)
 	nAD := tp.tri[n].n[(en+1)%3]
 	p.Pat[1] = patchRef{T: nAD, E: tp.nbrEdge(nAD, n)}
-	return p
+	return p.clone()
 }
 
 // commitSplit replaces the one or two cavity triangles of a planned
@@ -222,9 +233,8 @@ func (e *engine) commitSplit(p *opPlan) {
 // when both endpoint contractions would leave an overlong edge. A
 // boundary vertex may only die into its boundary neighbor when it lies
 // strictly between its two boundary neighbors on an exactly straight
-// segment, so the domain shape never changes. s1 and s2 are ring scratch
-// buffers.
-func (e *engine) evalCollapse(t int32, ei int, s1, s2 []int32) *opPlan {
+// segment, so the domain shape never changes.
+func (e *engine) evalCollapse(t int32, ei int, sc *evalScratch) *opPlan {
 	tp := e.tp
 	a, b := tp.edgeVerts(t, ei)
 	l := tp.edgeLen(a, b)
@@ -257,14 +267,14 @@ func (e *engine) evalCollapse(t int32, ei int, s1, s2 []int32) *opPlan {
 		// straight boundary. (A chord between two boundary vertices can
 		// never collapse.)
 		for _, d := range [2][2]int32{{a, b}, {b, a}} {
-			if e.collinearBoundary(d[0], d[1], s1) {
+			if e.collinearBoundary(d[0], d[1], sc.ring1) {
 				cands[nc] = cand{d[0], d[1], false}
 				nc++
 			}
 		}
 	}
 	for i := 0; i < nc; i++ {
-		if p := e.tryCollapse(t, ei, prio, cands[i].die, cands[i].keep, cands[i].mid, s1, s2); p != nil {
+		if p := e.tryCollapse(t, ei, prio, cands[i].die, cands[i].keep, cands[i].mid, sc); p != nil {
 			return p
 		}
 	}
@@ -274,9 +284,9 @@ func (e *engine) evalCollapse(t int32, ei int, s1, s2 []int32) *opPlan {
 // tryCollapse validates one contraction form (die onto keep, which stays
 // put or — mid — moves to the edge midpoint) and builds its plan, or
 // returns nil.
-func (e *engine) tryCollapse(t int32, ei int, prio float64, die, keep int32, mid bool, s1, s2 []int32) *opPlan {
+func (e *engine) tryCollapse(t int32, ei int, prio float64, die, keep int32, mid bool, sc *evalScratch) *opPlan {
 	tp := e.tp
-	ring, interior := tp.ring(die, s1)
+	ring, interior := tp.ring(die, sc.ring1)
 	wantDying := 2
 	if !interior {
 		wantDying = 1
@@ -284,29 +294,25 @@ func (e *engine) tryCollapse(t int32, ei int, prio float64, die, keep int32, mid
 	if len(ring) < wantDying+1 {
 		return nil // nothing would survive to hold keep
 	}
-	p := &opPlan{Kind: opCollapse, Prio: prio, T: t, E: int8(ei), V: die, Keep: keep}
+	p := sc.start(opPlan{Kind: opCollapse, Prio: prio, T: t, E: int8(ei), V: die, Keep: keep})
 	keepPos, keepMet := tp.pts[keep], tp.met[keep]
 	if mid {
 		keepPos = tp.pts[die].Mid(tp.pts[keep])
 		if e.opt.Resample != nil {
 			keepMet = e.opt.Resample(keepPos)
 		} else {
-			keepMet = metric.Interp(tp.met[die], tp.met[keep], 0.5)
+			keepMet = metric.InterpLog(tp.lmet[die], tp.lmet[keep], 0.5)
 		}
 		p.Mid, p.Pos, p.Met = true, keepPos, keepMet
 	}
 	// Gather die's neighbor vertices and the dying triangles, and check
 	// every rewritten triangle stays strictly CCW.
-	var dieNbrs [2 * maxRing]int32
-	dying, nd := 0, 0
+	dieNbrs := sc.nbrs[:0] // never outgrows its capacity: 2 per ring triangle
+	dying := 0
 	addNbr := func(v int32) {
-		for i := 0; i < nd; i++ {
-			if dieNbrs[i] == v {
-				return
-			}
+		if !slices.Contains(dieNbrs, v) {
+			dieNbrs = append(dieNbrs, v)
 		}
-		dieNbrs[nd] = v
-		nd++
 	}
 	for _, rt := range ring {
 		p.Cav = append(p.Cav, rt)
@@ -364,8 +370,7 @@ func (e *engine) tryCollapse(t int32, ei int, prio float64, die, keep int32, mid
 	// collapse never creates work for the next split pass. When keep
 	// moves to the midpoint its surviving W edges change length too, so
 	// they are re-measured rather than skipped.
-	for i := 0; i < nd; i++ {
-		v := dieNbrs[i]
+	for _, v := range dieNbrs {
 		if v == keep || (!mid && isW(v)) {
 			continue // existing edges, unchanged by the collapse
 		}
@@ -379,7 +384,7 @@ func (e *engine) tryCollapse(t int32, ei int, prio float64, die, keep int32, mid
 	// additionally requires its surviving ring triangles to stay strictly
 	// CCW, its existing edges to stay short enough, and the triangles
 	// join the cavity (the commit changes their shape).
-	keepRing, _ := tp.ring(keep, s2)
+	keepRing, _ := tp.ring(keep, sc.ring2)
 	if len(keepRing) == 0 {
 		return nil
 	}
@@ -390,10 +395,8 @@ func (e *engine) tryCollapse(t int32, ei int, prio float64, die, keep int32, mid
 			if v == keep || v == die || isW(v) {
 				continue
 			}
-			for i := 0; i < nd; i++ {
-				if dieNbrs[i] == v {
-					return nil
-				}
+			if slices.Contains(dieNbrs, v) {
+				return nil
 			}
 		}
 		if !mid || dyingTri {
@@ -415,7 +418,7 @@ func (e *engine) tryCollapse(t int32, ei int, prio float64, die, keep int32, mid
 		}
 		p.Cav = append(p.Cav, kt)
 	}
-	return p
+	return p.clone()
 }
 
 // collinearBoundary reports whether boundary vertex die lies strictly
@@ -462,7 +465,7 @@ func (e *engine) commitCollapse(p *opPlan) {
 	die, keep := p.V, p.Keep
 	if p.Mid {
 		tp.pts[keep] = p.Pos
-		tp.met[keep] = p.Met
+		tp.setMetric(keep, p.Met)
 	}
 	dying := func(rt int32) bool {
 		for i := 0; i < int(p.NDy); i++ {
@@ -531,14 +534,22 @@ func (e *engine) evalSwap(t int32, ei int) *opPlan {
 	if geom.Orient2DSign(pa, pd, pc) <= 0 || geom.Orient2DSign(pd, pb, pc) <= 0 {
 		return nil
 	}
-	ma, mb, mc, md := tp.met[a], tp.met[b], tp.met[c], tp.met[d]
-	qOld := math.Min(metric.TriQuality(pa, pb, pc, ma, mb, mc),
-		metric.TriQuality(pb, pa, pd, mb, ma, md))
-	qNew := math.Min(metric.TriQuality(pa, pd, pc, ma, md, mc),
-		metric.TriQuality(pd, pb, pc, md, mb, mc))
-	if qNew <= qOld+qualityGain {
+	// Each new triangle is rejected against the bar as soon as it is
+	// computed: min(q1, q2) <= bar exactly when one of them is. That
+	// matches testing the minimum only because TriQuality is never NaN
+	// on SPD tensors (TestTriQualityFiniteSPD); math.Min would propagate
+	// a NaN that the comparison then lets through.
+	qOld := math.Min(tp.quality(a, b, c), tp.quality(b, a, d))
+	bar := qOld + qualityGain
+	q1 := tp.quality(a, d, c)
+	if q1 <= bar {
 		return nil
 	}
+	q2 := tp.quality(d, b, c)
+	if q2 <= bar {
+		return nil
+	}
+	qNew := math.Min(q1, q2)
 	p := &opPlan{Kind: opSwap, Prio: qNew - qOld, T: t, E: int8(ei)}
 	p.Cav = append(p.Cav, t, n)
 	nAD := tp.tri[n].n[(en+1)%3]
@@ -581,7 +592,8 @@ func (e *engine) commitSwap(p *opPlan) {
 // v: the target is the neighbor average weighted by metric edge length
 // (overlong directions pull harder), damped halfway, accepted only when
 // every ring triangle stays strictly CCW and the worst ring quality
-// strictly improves.
+// strictly improves. The old ring qualities come from the pass's
+// fillQuality cache.
 func (e *engine) evalSmooth(v int32, scratch []int32) *opPlan {
 	tp := e.tp
 	if tp.vb[v] || tp.vtri[v] < 0 {
@@ -600,7 +612,7 @@ func (e *engine) evalSmooth(v int32, scratch []int32) *opPlan {
 		sx += w * tp.pts[nb].X
 		sy += w * tp.pts[nb].Y
 		wsum += w
-		qOld = math.Min(qOld, tp.triQuality(rt))
+		qOld = math.Min(qOld, e.qual[rt])
 	}
 	if wsum <= 0 {
 		return nil
@@ -610,29 +622,35 @@ func (e *engine) evalSmooth(v int32, scratch []int32) *opPlan {
 	if pos == tp.pts[v] {
 		return nil
 	}
-	mm := tp.met[v]
+	mm, lmm := tp.met[v], tp.lmet[v]
 	if e.opt.Resample != nil {
 		mm = e.opt.Resample(pos)
+		lmm = mm.Log()
 	}
+	// Reject as soon as one ring triangle is at or below the bar; as in
+	// evalSwap this equals testing the ring minimum because TriQuality
+	// is never NaN on SPD tensors.
+	bar := qOld + qualityGain
 	qNew := math.Inf(1)
 	for _, rt := range ring {
 		r := tp.tri[rt]
 		var q [3]geom.Point
-		var ms [3]metric.M
+		var ms, ls [3]metric.M
 		for i, vv := range r.v {
 			if vv == v {
-				q[i], ms[i] = pos, mm
+				q[i], ms[i], ls[i] = pos, mm, lmm
 			} else {
-				q[i], ms[i] = tp.pts[vv], tp.met[vv]
+				q[i], ms[i], ls[i] = tp.pts[vv], tp.met[vv], tp.lmet[vv]
 			}
 		}
 		if geom.Orient2DSign(q[0], q[1], q[2]) <= 0 {
 			return nil
 		}
-		qNew = math.Min(qNew, metric.TriQuality(q[0], q[1], q[2], ms[0], ms[1], ms[2]))
-	}
-	if qNew <= qOld+qualityGain {
-		return nil
+		qt := metric.TriQualityLog(q[0], q[1], q[2], ms[0], ms[1], ms[2], ls[0], ls[1], ls[2])
+		if qt <= bar {
+			return nil
+		}
+		qNew = math.Min(qNew, qt)
 	}
 	p := &opPlan{Kind: opSmooth, Prio: qNew - qOld, T: -1, V: v, Pos: pos, Met: mm}
 	p.Cav = append([]int32(nil), ring...)
@@ -643,5 +661,5 @@ func (e *engine) evalSmooth(v int32, scratch []int32) *opPlan {
 // guarantees nobody concurrently reads the old coordinates.
 func (e *engine) commitSmooth(p *opPlan) {
 	e.tp.pts[p.V] = p.Pos
-	e.tp.met[p.V] = p.Met
+	e.tp.setMetric(p.V, p.Met)
 }

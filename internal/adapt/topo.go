@@ -26,6 +26,7 @@ type triRec struct {
 type topo struct {
 	pts  []geom.Point
 	met  []metric.M // per-vertex metric, grown alongside pts
+	lmet []metric.M // met[v].Log(), rewritten with met[v] (setMetric)
 	vb   []bool     // vertex lies on the domain boundary
 	vtri []int32    // some live triangle incident to the vertex, -1 when dead
 	tri  []triRec
@@ -48,6 +49,7 @@ func newTopo(m *mesh.Mesh, f metric.Field) (*topo, error) {
 	tp := &topo{
 		pts:  append([]geom.Point(nil), m.Points...),
 		met:  append(metric.Field(nil), f...),
+		lmet: make([]metric.M, len(f)),
 		vb:   make([]bool, len(m.Points)),
 		vtri: make([]int32, len(m.Points)),
 		tri:  make([]triRec, len(m.Triangles)),
@@ -55,6 +57,9 @@ func newTopo(m *mesh.Mesh, f metric.Field) (*topo, error) {
 	}
 	for i := range tp.vtri {
 		tp.vtri[i] = -1
+	}
+	for i, t := range f {
+		tp.lmet[i] = t.Log()
 	}
 	for i, t := range m.Triangles {
 		tp.tri[i] = triRec{v: t, n: adj[i]}
@@ -207,6 +212,7 @@ func (tp *topo) addVertex(p geom.Point, m metric.M, boundary bool) int32 {
 	v := int32(len(tp.pts))
 	tp.pts = append(tp.pts, p)
 	tp.met = append(tp.met, m)
+	tp.lmet = append(tp.lmet, m.Log())
 	tp.vb = append(tp.vb, boundary)
 	tp.vtri = append(tp.vtri, -1)
 	return v
@@ -239,9 +245,22 @@ func (tp *topo) edgeLen(p, q int32) float64 {
 	return metric.EdgeLen(tp.pts[p], tp.pts[q], tp.met[p], tp.met[q])
 }
 
+// setMetric moves vertex v's metric to m, keeping its log in step, so
+// quality and interpolation never re-decompose an unchanged tensor.
+func (tp *topo) setMetric(v int32, m metric.M) {
+	tp.met[v] = m
+	tp.lmet[v] = m.Log()
+}
+
+// quality returns the metric shape quality of the triangle (a,b,c), in
+// that vertex order.
+func (tp *topo) quality(a, b, c int32) float64 {
+	return metric.TriQualityLog(tp.pts[a], tp.pts[b], tp.pts[c],
+		tp.met[a], tp.met[b], tp.met[c], tp.lmet[a], tp.lmet[b], tp.lmet[c])
+}
+
 // triQuality returns the metric shape quality of triangle t.
 func (tp *topo) triQuality(t int32) float64 {
 	v := tp.tri[t].v
-	return metric.TriQuality(tp.pts[v[0]], tp.pts[v[1]], tp.pts[v[2]],
-		tp.met[v[0]], tp.met[v[1]], tp.met[v[2]])
+	return tp.quality(v[0], v[1], v[2])
 }

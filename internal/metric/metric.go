@@ -144,8 +144,14 @@ func (m M) posPart() M {
 
 // Interp returns the log-Euclidean geodesic interpolation
 // exp((1-t)·log a + t·log b); t=0 gives a, t=1 gives b.
-func Interp(a, b M, t float64) M {
-	return a.Log().scale(1 - t).add(b.Log().scale(t)).Exp()
+func Interp(a, b M, t float64) M { return InterpLog(a.Log(), b.Log(), t) }
+
+// InterpLog is Interp with the endpoint logarithms supplied: la =
+// a.Log() and lb = b.Log(). Callers that keep the logs of fixed tensors
+// skip the two eigendecompositions; the result is bit-identical to
+// Interp.
+func InterpLog(la, lb M, t float64) M {
+	return la.scale(1 - t).add(lb.scale(t)).Exp()
 }
 
 // Intersect returns the log-Euclidean supremum of two metrics: the
@@ -181,7 +187,15 @@ func EdgeLen(p, q geom.Point, mp, mq M) float64 {
 // The metric over the element is the log-Euclidean mean of the three
 // vertex tensors.
 func TriQuality(a, b, c geom.Point, ma, mb, mc M) float64 {
-	mean := ma.Log().add(mb.Log()).add(mc.Log()).scale(1.0 / 3).Exp()
+	return TriQualityLog(a, b, c, ma, mb, mc, ma.Log(), mb.Log(), mc.Log())
+}
+
+// TriQualityLog is TriQuality with the vertex tensors' logarithms
+// supplied: loga = ma.Log() and so on. The adaptation engine keeps
+// those logs per vertex, so a quality evaluation skips three
+// eigendecompositions; the result is bit-identical to TriQuality.
+func TriQualityLog(a, b, c geom.Point, ma, mb, mc, loga, logb, logc M) float64 {
+	mean := loga.add(logb).add(logc).scale(1.0 / 3).Exp()
 	area := geom.TriangleArea(a, b, c)
 	if area <= 0 {
 		return 0

@@ -2,6 +2,7 @@ package metric
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"pamg2d/internal/geom"
@@ -144,6 +145,89 @@ func TestParseSpec(t *testing.T) {
 	for _, bad := range []string{"nope:h=1", "uniform:h=-1", "bl:hn=1,ht=0.1", "uniform:h"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Fatalf("ParseSpec(%q) accepted", bad)
+		}
+	}
+}
+
+// randSPD draws a metric with principal spacings log-uniform in
+// [1e-5, 1e2] and aspect ratio up to 1e3, in a random direction. That
+// spans what ParseSpec and FromHessian produce: FromHessian clamps
+// spacings to [1e-4, 0.25] of the mesh diameter and aspect to 100.
+func randSPD(rng *rand.Rand) M {
+	h1 := math.Pow(10, -5+7*rng.Float64())
+	h2 := h1 * math.Pow(10, 3*rng.Float64())
+	th := math.Pi * rng.Float64()
+	return FromSpacings(h1, h2, geom.V(math.Cos(th), math.Sin(th)))
+}
+
+// randTri draws three points around the origin at a random scale, with
+// random orientation, so degenerate-looking and inverted elements occur.
+func randTri(rng *rand.Rand) [3]geom.Point {
+	s := math.Pow(10, -5+7*rng.Float64())
+	var p [3]geom.Point
+	for i := range p {
+		p[i] = geom.Pt(s*(rng.Float64()-0.5), s*(rng.Float64()-0.5))
+	}
+	return p
+}
+
+func sameBits(a, b M) bool {
+	return math.Float64bits(a.XX) == math.Float64bits(b.XX) &&
+		math.Float64bits(a.XY) == math.Float64bits(b.XY) &&
+		math.Float64bits(a.YY) == math.Float64bits(b.YY)
+}
+
+// TestLogFormsBitIdentical: TriQualityLog and InterpLog fed the vertex
+// logs return exactly TriQuality's and Interp's bits, in every vertex
+// rotation. The adaptation engine's log cache relies on this to keep
+// adapted meshes byte-identical.
+func TestLogFormsBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for it := 0; it < 2000; it++ {
+		p := randTri(rng)
+		m := [3]M{randSPD(rng), randSPD(rng), randSPD(rng)}
+		if it%5 == 0 {
+			m[1] = m[0] // shared tensors, as along a uniform field
+		}
+		for r := 0; r < 3; r++ {
+			i, j, k := r, (r+1)%3, (r+2)%3
+			want := TriQuality(p[i], p[j], p[k], m[i], m[j], m[k])
+			got := TriQualityLog(p[i], p[j], p[k], m[i], m[j], m[k], m[i].Log(), m[j].Log(), m[k].Log())
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("iteration %d rotation %d: TriQualityLog %v, TriQuality %v", it, r, got, want)
+			}
+		}
+		for _, tt := range []float64{0, 0.25, 0.5, 1} {
+			want := Interp(m[0], m[1], tt)
+			if got := InterpLog(m[0].Log(), m[1].Log(), tt); !sameBits(got, want) {
+				t.Fatalf("iteration %d t=%g: InterpLog %+v, Interp %+v", it, tt, got, want)
+			}
+		}
+	}
+}
+
+// TestTriQualityFiniteSPD: over the tensor range the metric sources
+// produce, TriQuality is finite and non-negative for any triangle,
+// inverted and degenerate ones included. The adaptation engine's early
+// rejects in evalSwap and evalSmooth equal a test of the minimum quality
+// only because no NaN ever reaches math.Min.
+func TestTriQualityFiniteSPD(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for it := 0; it < 20000; it++ {
+		p := randTri(rng)
+		switch it % 4 {
+		case 1:
+			p[2] = p[0].Mid(p[1]) // collinear
+		case 2:
+			p[1] = p[0] // coincident
+		}
+		ma, mb, mc := randSPD(rng), randSPD(rng), randSPD(rng)
+		if !ma.SPD() || !mb.SPD() || !mc.SPD() {
+			t.Fatalf("iteration %d: drew a non-SPD tensor", it)
+		}
+		q := TriQuality(p[0], p[1], p[2], ma, mb, mc)
+		if math.IsNaN(q) || math.IsInf(q, 0) || q < 0 {
+			t.Fatalf("iteration %d: TriQuality(%v, %+v %+v %+v) = %v", it, p, ma, mb, mc, q)
 		}
 	}
 }
